@@ -39,6 +39,7 @@ World::World(const TopologyFactory& make_topology, const os::CpuConfig& cpu,
     entities_.back()->set_conformance(&conformance_);
   }
   conformance_.set_repository(&repo_);
+  topo_.network->ensure_routes();
 }
 
 unites::ResourceSnapshot World::resource_snapshot() const {

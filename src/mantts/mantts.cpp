@@ -150,7 +150,7 @@ void MantttsEntity::open_session(const Acd& acd, OpenCb cb) {
   it->second.retry->schedule(sim::SimTime::milliseconds(250));
 }
 
-void MantttsEntity::finish_open(std::uint32_t nonce, const tko::sa::SessionConfig& cfg,
+void MantttsEntity::finish_open(std::uint32_t nonce, tko::sa::SessionConfig cfg,
                                 bool refused) {
   auto it = pending_.find(nonce);
   if (it == pending_.end()) return;

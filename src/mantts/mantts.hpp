@@ -165,7 +165,9 @@ private:
   /// Register (initial open) or re-register (resynthesis funnel) the
   /// session's QoS contract with the conformance monitor.
   void register_contract_for(const Acd& acd, tko::TransportSession& session);
-  void finish_open(std::uint32_t nonce, const tko::sa::SessionConfig& cfg, bool refused);
+  /// `cfg` is taken by value: callers pass the pending entry's own
+  /// proposal, which this function erases.
+  void finish_open(std::uint32_t nonce, tko::sa::SessionConfig cfg, bool refused);
   void apply_and_propagate(tko::TransportSession& session, const tko::sa::SessionConfig& cfg);
   /// Track an in-flight RECONFIG until its ack (bounded retry with
   /// exponential backoff); exhaustion falls down the QoS ladder.

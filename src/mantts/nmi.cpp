@@ -9,7 +9,8 @@ NetworkMonitorInterface::NetworkMonitorInterface(net::Network& network, net::Nod
 
 NetworkStateDescriptor NetworkMonitorInterface::sample_unicast(net::NodeId remote) {
   NetworkStateDescriptor d;
-  const auto path = net_.path(local_, remote);
+  auto& path = path_scratch_;
+  net_.path_into(local_, remote, path);
   d.reachable = !path.empty();
   if (!d.reachable) {
     d.degraded = true;

@@ -84,6 +84,7 @@ private:
   net::NodeId local_;
   std::map<net::NodeId, tko::sa::RttEstimator> probe_rtt_;
   std::map<net::NodeId, std::vector<net::NodeId>> last_path_;
+  std::vector<net::NodeId> path_scratch_;  ///< sample_unicast's path, capacity reused
   std::map<net::NodeId, std::uint64_t> route_version_;
   struct Watch {
     std::unique_ptr<tko::Event> timer;

@@ -11,6 +11,52 @@ Link::Link(LinkId id, NodeId from, NodeId to, const LinkConfig& cfg,
            sim::EventScheduler& sched, sim::Rng rng)
     : id_(id), from_(from), to_(to), cfg_(cfg), sched_(sched), rng_(rng) {}
 
+void PacketQueue::grow() {
+  const std::size_t cap = cap_ == 0 ? 4 : cap_ * 2;
+  auto* data = static_cast<Packet*>(::operator new(cap * sizeof(Packet)));
+  for (std::size_t i = 0; i < size_; ++i) {
+    Packet& from = data_[(head_ + i) & (cap_ - 1)];
+    ::new (data + i) Packet(std::move(from));
+    from.~Packet();
+  }
+  ::operator delete(data_);
+  data_ = data;
+  cap_ = cap;
+  head_ = 0;
+}
+
+void PacketQueue::release() {
+  clear();
+  ::operator delete(data_);
+  data_ = nullptr;
+  cap_ = 0;
+}
+
+void PacketQueue::push_back(Packet&& p) {
+  if (size_ == cap_) grow();
+  ::new (data_ + ((head_ + size_) & (cap_ - 1))) Packet(std::move(p));
+  ++size_;
+}
+
+Packet PacketQueue::pop_front() {
+  Packet& slot = data_[head_];
+  Packet p(std::move(slot));
+  slot.~Packet();
+  head_ = (head_ + 1) & (cap_ - 1);
+  --size_;
+  return p;
+}
+
+void PacketQueue::pop_back() {
+  back().~Packet();
+  --size_;
+}
+
+void PacketQueue::clear() {
+  while (size_ > 0) pop_back();
+  head_ = 0;
+}
+
 void Link::drop(const Packet& p, const char* reason) {
   unites::trace().instant(unites::TraceCategory::kNet, "net.drop", sched_.now(), from_, 0,
                           static_cast<double>(p.size_bytes()), reason);
@@ -45,7 +91,12 @@ void Link::transmit(Packet&& p) {
       return;
     }
   }
-  queues_[p.priority].push_back(std::move(p));
+  auto it = queues_.begin();
+  while (it != queues_.end() && it->first > p.priority) ++it;
+  if (it == queues_.end() || it->first != p.priority) {
+    it = queues_.insert(it, {p.priority, PacketQueue{}});
+  }
+  it->second.push_back(std::move(p));
   ++queued_;
   if (!busy_) start_transmission();
 }
@@ -59,8 +110,7 @@ void Link::start_transmission() {
   busy_ = true;
   auto it = queues_.begin();
   while (it->second.empty()) ++it;  // highest non-empty priority class
-  Packet p = std::move(it->second.front());
-  it->second.pop_front();
+  Packet p = it->second.pop_front();
   --queued_;
 
   const auto tx_time = cfg_.bandwidth.transmission_time(p.size_bytes());
@@ -168,13 +218,14 @@ void Link::deliver_mutated(Packet&& p) {
 }
 
 void Link::set_up(bool up) {
+  if (on_change_) on_change_();
   up_ = up;
   if (!up_) {
     for (auto& [_, q] : queues_) {
-      for (auto& p : q) {
+      q.for_each([this](const Packet& p) {
         ++stats_.down_drops;
         drop(p, "link-down");
-      }
+      });
       q.clear();
     }
     queued_ = 0;

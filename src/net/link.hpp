@@ -15,10 +15,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace adaptive::net {
 
@@ -63,6 +63,56 @@ struct LinkStats {
   std::uint64_t truncated = 0;   ///< adversarial payload truncations
 };
 
+/// FIFO of packets over recycled ring storage: the capacity doubles on
+/// demand and is kept, so a port in steady state never allocates (a
+/// std::deque<Packet> allocated a 512-byte node every two packets).
+class PacketQueue {
+public:
+  PacketQueue() = default;
+  PacketQueue(PacketQueue&& o) noexcept
+      : data_(std::exchange(o.data_, nullptr)),
+        cap_(std::exchange(o.cap_, 0)),
+        head_(std::exchange(o.head_, 0)),
+        size_(std::exchange(o.size_, 0)) {}
+  PacketQueue& operator=(PacketQueue&& o) noexcept {
+    if (this != &o) {
+      release();
+      data_ = std::exchange(o.data_, nullptr);
+      cap_ = std::exchange(o.cap_, 0);
+      head_ = std::exchange(o.head_, 0);
+      size_ = std::exchange(o.size_, 0);
+    }
+    return *this;
+  }
+  PacketQueue(const PacketQueue&) = delete;
+  PacketQueue& operator=(const PacketQueue&) = delete;
+  ~PacketQueue() { release(); }
+
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] Packet& back() { return data_[(head_ + size_ - 1) & (cap_ - 1)]; }
+
+  void push_back(Packet&& p);
+  /// Remove and return the oldest packet.
+  [[nodiscard]] Packet pop_front();
+  void pop_back();
+  void clear();
+
+  /// Visit queued packets oldest first.
+  template <typename Fn>
+  void for_each(Fn&& fn) {
+    for (std::size_t i = 0; i < size_; ++i) fn(data_[(head_ + i) & (cap_ - 1)]);
+  }
+
+private:
+  void grow();
+  void release();
+
+  Packet* data_ = nullptr;  ///< cap_ slots (a power of two), size_ live from head_
+  std::size_t cap_ = 0;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
+
 class Link {
 public:
   /// `deliver` is invoked at the receiving node when a packet finishes
@@ -82,7 +132,10 @@ public:
   /// spikes, bandwidth drops, burst-loss episodes). In-flight packets
   /// keep the serialization/propagation times computed at transmit time;
   /// later packets see the new parameters.
-  void set_config(const LinkConfig& cfg) { cfg_ = cfg; }
+  void set_config(const LinkConfig& cfg) {
+    if (on_change_) on_change_();
+    cfg_ = cfg;
+  }
 
   /// Worst bit-error rate this link can exhibit: the burst-state BER when
   /// a Gilbert-Elliott process is armed, the base BER otherwise. Path
@@ -98,6 +151,12 @@ public:
   /// Hook observed on every congestion/MTU/error drop (monitor wiring).
   using DropFn = std::function<void(const Packet&, const char* reason)>;
   void set_on_drop(DropFn fn) { on_drop_ = std::move(fn); }
+
+  /// Hook run just before the link's route-relevant state (config, up/down)
+  /// changes: the Network flushes a deferred route computation there, so
+  /// routes always reflect the state at the last topology change.
+  using ChangeFn = std::function<void()>;
+  void set_on_change(ChangeFn fn) { on_change_ = std::move(fn); }
 
   /// Enqueue a packet for transmission. Drops (with stats) when the queue
   /// is full, the packet exceeds the MTU, or the link is down.
@@ -138,10 +197,12 @@ private:
   sim::Rng rng_;
   DeliverFn deliver_;
   DropFn on_drop_;
-  /// Per-priority FIFOs, highest priority served first ("priorities for
-  /// message delivery", Section 4.1.1). A full port prefers dropping the
+  ChangeFn on_change_;
+  /// Per-priority FIFOs, highest priority first ("priorities for message
+  /// delivery", Section 4.1.1). A full port prefers dropping the
   /// lowest-priority queued packet over an arriving higher-priority one.
-  std::map<std::uint8_t, std::deque<Packet>, std::greater<>> queues_;
+  /// A class, once seen, keeps its queue (and that queue's storage).
+  std::vector<std::pair<std::uint8_t, PacketQueue>> queues_;
   std::size_t queued_ = 0;
   bool busy_ = false;
   bool up_ = true;

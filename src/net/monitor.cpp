@@ -4,7 +4,7 @@
 
 namespace adaptive::net {
 
-void NetworkMonitor::record(NetEventKind kind, sim::SimTime when, std::string detail) {
+void NetworkMonitor::note(NetEventKind kind) {
   UNITES_PROF("net.monitor.record");
   switch (kind) {
     case NetEventKind::kDrop: ++drops_; break;
@@ -13,19 +13,27 @@ void NetworkMonitor::record(NetEventKind kind, sim::SimTime when, std::string de
     case NetEventKind::kFault: ++faults_; break;
     default: break;
   }
-  events_.push_back(NetEvent{kind, when, std::move(detail)});
-  while (events_.size() > history_limit_) events_.pop_front();
-  for (const auto& s : subscribers_) s(events_.back());
+  if (kinds_.empty()) return;
+  kinds_[next_] = kind;
+  if (++next_ == kinds_.size()) next_ = 0;
+  if (kept_ < kinds_.size()) ++kept_;
+}
+
+void NetworkMonitor::publish(const NetEvent& e) {
+  for (const auto& s : subscribers_) s(e);
 }
 
 double NetworkMonitor::recent_loss_rate(std::size_t window) const {
   std::uint64_t drops = 0;
   std::uint64_t total = 0;
-  for (auto it = events_.rbegin(); it != events_.rend() && total < window; ++it) {
-    if (it->kind == NetEventKind::kDrop) {
+  std::size_t idx = next_;
+  for (std::size_t seen = 0; seen < kept_ && total < window; ++seen) {
+    idx = (idx == 0 ? kinds_.size() : idx) - 1;
+    const NetEventKind k = kinds_[idx];
+    if (k == NetEventKind::kDrop) {
       ++drops;
       ++total;
-    } else if (it->kind == NetEventKind::kDeliver) {
+    } else if (k == NetEventKind::kDeliver) {
       ++total;
     }
   }

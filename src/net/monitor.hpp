@@ -13,14 +13,15 @@
 #include "sim/time.hpp"
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace adaptive::net {
 
-enum class NetEventKind { kDrop, kDeliver, kRouteChange, kLinkDown, kLinkUp, kFault };
+enum class NetEventKind : std::uint8_t { kDrop, kDeliver, kRouteChange, kLinkDown, kLinkUp, kFault };
 
 struct NetEvent {
   NetEventKind kind;
@@ -30,9 +31,21 @@ struct NetEvent {
 
 class NetworkMonitor {
 public:
-  explicit NetworkMonitor(std::size_t history = 4096) : history_limit_(history) {}
+  explicit NetworkMonitor(std::size_t history = 4096) : kinds_(history) {}
 
-  void record(NetEventKind kind, sim::SimTime when, std::string detail);
+  /// Count an event and publish it to subscribers. `detail` is a string
+  /// or a callable returning one; a callable runs only when someone
+  /// subscribes, so the per-delivery hot path formats nothing.
+  template <typename Detail>
+  void record(NetEventKind kind, sim::SimTime when, Detail&& detail) {
+    note(kind);
+    if (subscribers_.empty()) return;
+    if constexpr (std::is_invocable_v<Detail&>) {
+      publish(NetEvent{kind, when, std::string(detail())});
+    } else {
+      publish(NetEvent{kind, when, std::string(std::forward<Detail>(detail))});
+    }
+  }
 
   /// Subscribe to every event as it happens (MANTTS policies hook here).
   using Subscriber = std::function<void(const NetEvent&)>;
@@ -43,14 +56,19 @@ public:
   [[nodiscard]] std::uint64_t route_changes() const { return route_changes_; }
   [[nodiscard]] std::uint64_t faults() const { return faults_; }
 
-  /// Drop fraction over the most recent `window` drop+deliver events.
+  /// Drop fraction over the most recent `window` drop+deliver events,
+  /// looking back at most `history` events of any kind.
   [[nodiscard]] double recent_loss_rate(std::size_t window = 256) const;
 
-  [[nodiscard]] const std::deque<NetEvent>& history() const { return events_; }
-
 private:
-  std::size_t history_limit_;
-  std::deque<NetEvent> events_;
+  /// Bump the kind's counter and append it to the kind ring.
+  void note(NetEventKind kind);
+  void publish(const NetEvent& e);
+
+  /// The last kinds_.size() event kinds, oldest overwritten first.
+  std::vector<NetEventKind> kinds_;
+  std::size_t next_ = 0;  ///< ring slot the next event lands in
+  std::size_t kept_ = 0;  ///< ring slots holding an event
   std::vector<Subscriber> subscribers_;
   std::uint64_t drops_ = 0;
   std::uint64_t deliveries_ = 0;

@@ -32,25 +32,28 @@ std::pair<LinkId, LinkId> Network::connect(NodeId a, NodeId b, const LinkConfig&
     const LinkId id = static_cast<LinkId>(links_.size());
     links_.push_back(std::make_unique<Link>(id, from, to, cfg, sched_, rng_.fork()));
     Link* l = links_.back().get();
-    l->set_deliver([this, to](Packet&& p) {
-      Node& n = *nodes_[to];
-      if (dynamic_cast<HostNode*>(&n) != nullptr) {
+    Node* n = nodes_[to].get();
+    if (dynamic_cast<HostNode*>(n) != nullptr) {
+      l->set_deliver([this, n](Packet&& p) {
         monitor_.record(NetEventKind::kDeliver, sched_.now(),
-                        "deliver dst=" + to_string(p.dst));
-      }
-      n.receive(std::move(p));
-    });
+                        [&p] { return "deliver dst=" + to_string(p.dst); });
+        n->receive(std::move(p));
+      });
+    } else {
+      l->set_deliver([n](Packet&& p) { n->receive(std::move(p)); });
+    }
     l->set_on_drop([this, id](const Packet& p, const char* reason) {
-      monitor_.record(NetEventKind::kDrop, sched_.now(),
-                      std::string(reason) + " link=" + std::to_string(id) +
-                          " dst=" + to_string(p.dst));
+      monitor_.record(NetEventKind::kDrop, sched_.now(), [&] {
+        return std::string(reason) + " link=" + std::to_string(id) + " dst=" + to_string(p.dst);
+      });
     });
+    l->set_on_change([this] { ensure_routes(); });
     adjacency_[from].push_back(l);
     return id;
   };
   const LinkId fwd = make(a, b);
   const LinkId rev = make(b, a);
-  recompute_routes();
+  topology_changed();
   return {fwd, rev};
 }
 
@@ -69,43 +72,68 @@ void Network::set_link_pair_up(LinkId forward_id, bool up) {
 }
 
 void Network::join_group(NodeId group, NodeId host) {
-  if (groups_.join(group, host)) recompute_routes();
+  if (groups_.join(group, host)) topology_changed();
 }
 
 void Network::leave_group(NodeId group, NodeId host) {
-  if (groups_.leave(group, host)) recompute_routes();
+  if (groups_.leave(group, host)) topology_changed();
 }
 
 void Network::recompute_routes() {
-  install_unicast_routes();
-  install_multicast_routes();
+  install_routes(nodes_.size());
   monitor_.record(NetEventKind::kRouteChange, sched_.now(), "routes recomputed");
 }
 
-void Network::install_unicast_routes() {
-  spf_.clear();
-  for (const auto& node : nodes_) {
-    spf_[node->id()] = shortest_paths(adjacency_, node->id());
+void Network::topology_changed() {
+  // Before the first inject no packet is in a link or switch, so nothing
+  // can observe stale tables: a World build's N connects cost one route
+  // computation instead of N. The change record is kept per edit.
+  if (traffic_started_) {
+    install_routes(nodes_.size());
+  } else {
+    routes_dirty_ = true;
+    pending_nodes_ = nodes_.size();
   }
-  for (const auto& node : nodes_) {
-    auto* sw = dynamic_cast<SwitchNode*>(node.get());
+  monitor_.record(NetEventKind::kRouteChange, sched_.now(), "routes recomputed");
+}
+
+void Network::install_routes(std::size_t nodes) {
+  routes_dirty_ = false;
+  install_unicast_routes(nodes);
+  install_multicast_routes(nodes);
+  route_nodes_ = nodes;
+  routes_.assign(route_nodes_ * route_nodes_, Route{});
+  route_links_.clear();
+}
+
+void Network::install_unicast_routes(std::size_t nodes) {
+  spf_.clear();
+  for (std::size_t i = 0; i < nodes; ++i) {
+    spf_[nodes_[i]->id()] = shortest_paths(adjacency_, nodes_[i]->id());
+  }
+  for (std::size_t i = 0; i < nodes; ++i) {
+    auto* sw = dynamic_cast<SwitchNode*>(nodes_[i].get());
     if (sw == nullptr) continue;
     sw->clear_routes();
     const SpfResult& spf = spf_[sw->id()];
-    for (const auto& dst : nodes_) {
-      if (dst->id() == sw->id()) continue;
-      auto links = extract_path_links(spf, sw->id(), dst->id());
-      if (!links.empty()) sw->set_unicast_route(dst->id(), links.front());
+    for (std::size_t d = 0; d < nodes; ++d) {
+      const NodeId dst = nodes_[d]->id();
+      if (dst == sw->id()) continue;
+      auto links = extract_path_links(spf, sw->id(), dst);
+      if (!links.empty()) sw->set_unicast_route(dst, links.front());
     }
   }
 }
 
-void Network::install_multicast_routes() {
+void Network::install_multicast_routes(std::size_t nodes) {
   host_mcast_.clear();
   for (NodeId group : groups_.groups()) {
     const auto& members = groups_.members(group);
     // Any host may be a source; build a tree per (group, source-host).
-    for (const auto& src_node : nodes_) {
+    // Members added after the change being installed have no links yet,
+    // so multicast_tree omits them as unreachable.
+    for (std::size_t i = 0; i < nodes; ++i) {
+      const auto& src_node = nodes_[i];
       if (dynamic_cast<HostNode*>(src_node.get()) == nullptr) continue;
       const NodeId src = src_node->id();
       std::vector<NodeId> others;
@@ -126,6 +154,8 @@ void Network::install_multicast_routes() {
 }
 
 void Network::inject(Packet&& p) {
+  ensure_routes();
+  traffic_started_ = true;
   p.id = next_packet_id_++;
   p.injected_at_ns = sched_.now().ns();
   const NodeId src = p.src.node;
@@ -141,11 +171,11 @@ void Network::inject(Packet&& p) {
     outs.back()->transmit(std::move(p));
     return;
   }
-  auto spf_it = spf_.find(src);
-  if (spf_it == spf_.end()) throw std::logic_error("Network::inject: routes not computed");
-  auto links = extract_path_links(spf_it->second, src, p.dst.node);
+  if (src >= route_nodes_) throw std::logic_error("Network::inject: routes not computed");
+  const auto links = path_links(src, p.dst.node);
   if (links.empty()) {
-    monitor_.record(NetEventKind::kDrop, sched_.now(), "no-route dst=" + to_string(p.dst));
+    monitor_.record(NetEventKind::kDrop, sched_.now(),
+                    [&p] { return "no-route dst=" + to_string(p.dst); });
     return;
   }
   links.front()->transmit(std::move(p));
@@ -170,16 +200,34 @@ std::vector<NodeId> Network::hosts() const {
   return out;
 }
 
-std::vector<Link*> Network::path_links(NodeId src, NodeId dst) const {
-  auto it = spf_.find(src);
-  if (it == spf_.end()) return {};
-  return extract_path_links(it->second, src, dst);
+std::span<Link* const> Network::path_links(NodeId src, NodeId dst) const {
+  ensure_routes();
+  // Nodes added since the last computation have no SPF snapshot: they
+  // route nowhere until the next topology change, as before the cache.
+  if (src >= route_nodes_ || dst >= route_nodes_) return {};
+  Route& r = routes_[src * route_nodes_ + dst];
+  if (!r.filled) {
+    const auto links = extract_path_links(spf_.at(src), src, dst);
+    r.first = static_cast<std::uint32_t>(route_links_.size());
+    r.len = static_cast<std::uint32_t>(links.size());
+    r.filled = true;
+    route_links_.insert(route_links_.end(), links.begin(), links.end());
+  }
+  return {route_links_.data() + r.first, r.len};
 }
 
 std::vector<NodeId> Network::path(NodeId src, NodeId dst) const {
-  auto it = spf_.find(src);
-  if (it == spf_.end()) return {};
-  return extract_path(it->second, src, dst);
+  std::vector<NodeId> nodes;
+  path_into(src, dst, nodes);
+  return nodes;
+}
+
+void Network::path_into(NodeId src, NodeId dst, std::vector<NodeId>& out) const {
+  out.clear();
+  const auto links = path_links(src, dst);
+  if (links.empty() && (src != dst || src >= route_nodes_)) return;
+  out.push_back(src);
+  for (const Link* l : links) out.push_back(l->to());
 }
 
 std::size_t Network::path_mtu(NodeId src, NodeId dst) const {

@@ -15,6 +15,7 @@
 #include "sim/random.hpp"
 
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -32,9 +33,21 @@ public:
   /// config). Returns (a->b, b->a) link ids.
   std::pair<LinkId, LinkId> connect(NodeId a, NodeId b, const LinkConfig& cfg);
 
-  /// Install forwarding state everywhere. Called automatically by
-  /// connect/join/leave/fail; call manually after batch edits.
+  /// Install forwarding state everywhere, now. Topology edits call this
+  /// implicitly: before the first packet is injected, connect/join/leave
+  /// only mark routes dirty and the single computation runs at the first
+  /// inject or path query (DESIGN §13.6); afterwards every edit recomputes
+  /// at once, so packets in flight always meet current tables.
   void recompute_routes();
+
+  /// Run a deferred route computation now, if one is pending. Every
+  /// routing-state read calls this first; World construction calls it so
+  /// a built World has its tables installed. Path queries are logically
+  /// const, hence the const_cast: the computation only materializes what
+  /// eager routing would already have installed.
+  void ensure_routes() const {
+    if (routes_dirty_) const_cast<Network*>(this)->install_routes(pending_nodes_);
+  }
 
   // --- dynamic behaviour -------------------------------------------------
   /// Take both directions of a bidirectional link up or down and reroute.
@@ -70,6 +83,8 @@ public:
 
   /// Node sequence currently routing src -> dst (empty if unreachable).
   [[nodiscard]] std::vector<NodeId> path(NodeId src, NodeId dst) const;
+  /// The same into a caller-owned vector, reusing its capacity.
+  void path_into(NodeId src, NodeId dst, std::vector<NodeId>& out) const;
 
   /// Smallest MTU along the current src -> dst path (0 if unreachable).
   [[nodiscard]] std::size_t path_mtu(NodeId src, NodeId dst) const;
@@ -93,9 +108,25 @@ public:
   [[nodiscard]] sim::EventScheduler& scheduler() { return sched_; }
 
 private:
-  [[nodiscard]] std::vector<Link*> path_links(NodeId src, NodeId dst) const;
-  void install_unicast_routes();
-  void install_multicast_routes();
+  /// Cached route src -> dst: a slice of route_links_, filled on first use.
+  struct Route {
+    std::uint32_t first = 0;
+    std::uint32_t len = 0;
+    bool filled = false;
+  };
+
+  /// Record a topology change: recompute now once traffic has started,
+  /// otherwise defer the computation to the next routing-state read.
+  void topology_changed();
+  /// Compute and install routes over the first `nodes` nodes: nodes added
+  /// after a deferred change take no part, exactly as if the change had
+  /// been computed when it happened.
+  void install_routes(std::size_t nodes);
+  void install_unicast_routes(std::size_t nodes);
+  void install_multicast_routes(std::size_t nodes);
+  /// The current src -> dst link sequence (empty if unreachable, unknown,
+  /// or src == dst).
+  [[nodiscard]] std::span<Link* const> path_links(NodeId src, NodeId dst) const;
 
   sim::EventScheduler& sched_;
   sim::Rng rng_;
@@ -109,6 +140,15 @@ private:
   // resolved through per-node SPF snapshots.
   std::map<NodeId, SpfResult> spf_;                            // per source host
   std::map<std::pair<NodeId, NodeId>, std::vector<Link*>> host_mcast_;  // (group, src) -> first hops
+  /// Route cache over spf_: route_nodes_^2 entries indexed src * n + dst,
+  /// reset whenever routes are installed. Mutable: filling it is a
+  /// memoization of the const path queries.
+  std::size_t route_nodes_ = 0;
+  mutable std::vector<Route> routes_;
+  mutable std::vector<Link*> route_links_;
+  bool routes_dirty_ = false;
+  std::size_t pending_nodes_ = 0;  ///< node count at the deferred change
+  bool traffic_started_ = false;
   std::uint64_t next_packet_id_ = 1;
 };
 

@@ -27,13 +27,13 @@ void SwitchNode::forward(Packet&& p) {
     outs.back()->transmit(std::move(p));
     return;
   }
-  auto it = unicast_.find(p.dst.node);
-  if (it == unicast_.end() || it->second == nullptr) {
+  Link* out = p.dst.node < unicast_.size() ? unicast_[p.dst.node] : nullptr;
+  if (out == nullptr) {
     ++no_route_drops_;
     return;
   }
   ++forwarded_;
-  it->second->transmit(std::move(p));
+  out->transmit(std::move(p));
 }
 
 }  // namespace adaptive::net

@@ -66,7 +66,10 @@ public:
     unicast_.clear();
     multicast_.clear();
   }
-  void set_unicast_route(NodeId dst, Link* out) { unicast_[dst] = out; }
+  void set_unicast_route(NodeId dst, Link* out) {
+    if (dst >= unicast_.size()) unicast_.resize(dst + 1, nullptr);
+    unicast_[dst] = out;
+  }
   void set_multicast_routes(NodeId group, NodeId src, std::vector<Link*> outs) {
     multicast_[{group, src}] = std::move(outs);
   }
@@ -79,7 +82,7 @@ private:
 
   SwitchConfig cfg_;
   sim::EventScheduler& sched_;
-  std::map<NodeId, Link*> unicast_;
+  std::vector<Link*> unicast_;  ///< next hop, indexed by destination node
   std::map<std::pair<NodeId, NodeId>, std::vector<Link*>> multicast_;
   std::uint64_t forwarded_ = 0;
   std::uint64_t no_route_drops_ = 0;

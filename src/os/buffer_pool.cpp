@@ -1,6 +1,7 @@
 #include "os/buffer_pool.hpp"
 
 #include <algorithm>
+#include <new>
 
 namespace adaptive::os {
 
@@ -10,6 +11,67 @@ bool g_legacy_alloc_path = false;
 
 bool legacy_alloc_path() { return g_legacy_alloc_path; }
 void set_legacy_alloc_path(bool on) { g_legacy_alloc_path = on; }
+
+Buffer* Buffer::create(std::size_t size, BufferLedger* ledger) {
+  void* block = ::operator new(sizeof(Buffer) + size);
+  return ::new (block) Buffer(size, ledger);
+}
+
+void Buffer::destroy(Buffer* b) noexcept {
+  b->~Buffer();
+  ::operator delete(b);
+}
+
+void Buffer::release(Buffer* b) noexcept {
+  if (b->ledger_ != nullptr) {
+    b->ledger_->on_release(b);
+  } else {
+    destroy(b);
+  }
+}
+
+BufferLedger::~BufferLedger() {
+  auto drain = [](Bin& bin) {
+    while (bin.head != nullptr) Buffer::destroy(std::exchange(bin.head, bin.head->next_free_));
+  };
+  for (Bin& bin : small) drain(bin);
+  for (auto& [_, bin] : large) drain(bin);
+}
+
+Buffer* BufferLedger::take(std::size_t capacity) {
+  Bin& b = bin(capacity);
+  Buffer* buf = b.head;
+  if (buf == nullptr) return nullptr;
+  b.head = buf->next_free_;
+  --b.count;
+  buf->next_free_ = nullptr;
+  buf->refs_ = 1;
+  return buf;
+}
+
+void BufferLedger::on_release(Buffer* b) noexcept {
+  // Worlds are shard-local (one thread), so the counters need no
+  // synchronization.
+  ++frees;
+  freed_bytes += b->size();
+  --outstanding;
+  if (pool_alive && !legacy_alloc_path()) {
+    Bin& cached = bin(b->size());
+    if (cached.count < kMaxCachedPerSize) {
+      b->next_free_ = cached.head;
+      cached.head = b;
+      ++cached.count;
+      return;
+    }
+  }
+  Buffer::destroy(b);
+  if (!pool_alive && outstanding == 0) delete this;
+}
+
+BufferPool::~BufferPool() {
+  ledger_->pool_alive = false;
+  if (ledger_->outstanding == 0) delete ledger_;
+}
 
 BufferRef BufferPool::allocate(std::size_t size) {
   std::size_t actual = size;
@@ -22,32 +84,10 @@ BufferRef BufferPool::allocate(std::size_t size) {
   stats_.allocated_bytes += actual;
   stats_.high_water_bytes = std::max(stats_.high_water_bytes, live_bytes());
 
-  // The deleter routes the free into the shared ledger. Worlds are
-  // shard-local (one thread), so the counter update needs no
-  // synchronization; the shared_ptr keeps the ledger valid even if a
-  // buffer outlives its pool.
-  const std::shared_ptr<Ledger> ledger = ledger_;
-  Buffer* raw = nullptr;
-  if (!legacy_alloc_path()) {
-    auto it = ledger->cache.find(actual);
-    if (it != ledger->cache.end() && !it->second.empty()) {
-      raw = it->second.back().release();
-      it->second.pop_back();
-    }
-  }
-  if (raw == nullptr) raw = new Buffer(actual);
-  return BufferRef(raw, [ledger, actual](Buffer* b) {
-    ++ledger->frees;
-    ledger->freed_bytes += actual;
-    if (!legacy_alloc_path()) {
-      auto& bin = ledger->cache[actual];
-      if (bin.size() < kMaxCachedPerSize) {
-        bin.emplace_back(b);
-        return;
-      }
-    }
-    delete b;
-  });
+  Buffer* b = legacy_alloc_path() ? nullptr : ledger_->take(actual);
+  if (b == nullptr) b = Buffer::create(actual, ledger_);
+  ++ledger_->outstanding;
+  return BufferRef(b);
 }
 
 }  // namespace adaptive::os

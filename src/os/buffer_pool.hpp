@@ -9,17 +9,17 @@
 // cumulative copy counters, because Section 2 argues memory — copies and
 // per-connection buffer state — is the transport bottleneck, and the
 // UNITES resource telemetry plane (DESIGN §12) needs those numbers to
-// gate the zero-copy work. Free tracking rides on the BufferRef's
-// deleter through a shared ledger, so a buffer outliving its pool is
-// safe (the free still lands in the ledger, which outlives both).
+// gate the zero-copy work. Free tracking rides on each buffer's pointer to
+// its pool's ledger, so a buffer outliving its pool is safe (the free
+// still lands in the ledger, which lives until the pool and all of its
+// buffers are gone).
 #pragma once
 
 #include "os/buffer.hpp"
 
+#include <array>
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
-#include <vector>
 
 namespace adaptive::os {
 
@@ -34,6 +34,45 @@ namespace adaptive::os {
 void set_legacy_alloc_path(bool on);
 
 enum class BufferScheme { kFixedSize, kVariableSize };
+
+/// Free-side state shared by a pool and its outstanding buffers. Released
+/// buffers land here: the counters feed the pool's stats, and the recycle
+/// cache keeps freed blocks for reuse. It outlives the pool while any of
+/// the pool's buffers is still referenced.
+struct BufferLedger {
+  /// Recycle-cache depth per size class: deep enough to absorb a send
+  /// window of PDU buffers, small enough that idle sessions don't pin
+  /// memory.
+  static constexpr std::uint32_t kMaxCachedPerSize = 64;
+  /// Capacities below this index a flat array; larger ones a hash map.
+  static constexpr std::size_t kSmallSizes = 256;
+
+  struct Bin {
+    Buffer* head = nullptr;
+    std::uint32_t count = 0;
+  };
+
+  BufferLedger() = default;
+  BufferLedger(const BufferLedger&) = delete;
+  BufferLedger& operator=(const BufferLedger&) = delete;
+  ~BufferLedger();
+
+  /// A cached block of exactly `capacity` bytes, or null.
+  [[nodiscard]] Buffer* take(std::size_t capacity);
+  /// The last reference to `b` dropped.
+  void on_release(Buffer* b) noexcept;
+
+  [[nodiscard]] Bin& bin(std::size_t capacity) {
+    return capacity < kSmallSizes ? small[capacity] : large[capacity];
+  }
+
+  std::uint64_t frees = 0;
+  std::uint64_t freed_bytes = 0;
+  std::uint64_t outstanding = 0;  ///< handed-out buffers not yet released
+  bool pool_alive = true;
+  std::array<Bin, kSmallSizes> small{};
+  std::unordered_map<std::size_t, Bin> large;
+};
 
 struct BufferPoolStats {
   std::uint64_t allocations = 0;
@@ -51,7 +90,10 @@ class BufferPool {
 public:
   explicit BufferPool(BufferScheme scheme = BufferScheme::kVariableSize,
                       std::size_t block_size = 2048)
-      : scheme_(scheme), block_size_(block_size), ledger_(std::make_shared<Ledger>()) {}
+      : scheme_(scheme), block_size_(block_size), ledger_(new BufferLedger) {}
+  BufferPool(const BufferPool&) = delete;
+  BufferPool& operator=(const BufferPool&) = delete;
+  ~BufferPool();
 
   [[nodiscard]] BufferRef allocate(std::size_t size);
 
@@ -89,23 +131,6 @@ public:
   }
 
 private:
-  /// Free-side counters. BufferRef deleters hold a shared_ptr to this, so
-  /// a buffer freed after its pool dies still lands somewhere valid. The
-  /// recycle cache lives here for the same lifetime reason: the deleter
-  /// that returns a buffer may run after the pool is gone.
-  struct Ledger {
-    std::uint64_t frees = 0;
-    std::uint64_t freed_bytes = 0;
-    /// Freed buffers retained for reuse, keyed by exact capacity and
-    /// bounded per class (see kMaxCachedPerSize).
-    std::unordered_map<std::size_t, std::vector<std::unique_ptr<Buffer>>> cache;
-  };
-
-  /// Recycle-cache depth per size class: deep enough to absorb a send
-  /// window of PDU buffers, small enough that idle sessions don't pin
-  /// memory.
-  static constexpr std::size_t kMaxCachedPerSize = 64;
-
   BufferScheme scheme_;
   std::size_t block_size_;
   mutable BufferPoolStats stats_;
@@ -117,7 +142,7 @@ private:
   /// buffers still in flight.
   std::uint64_t frees_base_ = 0;
   std::uint64_t freed_bytes_base_ = 0;
-  std::shared_ptr<Ledger> ledger_;
+  BufferLedger* ledger_;  ///< owned jointly with outstanding buffers
 };
 
 }  // namespace adaptive::os

@@ -12,7 +12,6 @@
 #include "sim/time.hpp"
 
 #include <cstdint>
-#include <functional>
 
 namespace adaptive::os {
 
@@ -45,20 +44,26 @@ public:
         static_cast<double>(instr) / (cfg_.mips * 1e6) * 1e9));
   }
 
-  /// Queue `instr` instructions of work; `done` runs when the (serial)
-  /// CPU finishes it. Returns the completion time.
-  sim::SimTime run(std::uint64_t instr, std::function<void()> done);
+  /// Queue `instr` instructions of work; `done` (a sim::Task, or null for
+  /// none) runs when the (serial) CPU finishes it. Returns the completion
+  /// time. The callable travels into the scheduler's node store without a
+  /// heap allocation when it fits a Task's inline storage.
+  sim::SimTime run(std::uint64_t instr, sim::Task&& done) {
+    const sim::SimTime finish = charge(instr);
+    if (done) sched_.post_at(finish, std::move(done));
+    return finish;
+  }
 
   /// Convenience wrappers that also bump the relevant counter.
-  sim::SimTime run_interrupt(std::function<void()> done) {
+  sim::SimTime run_interrupt(sim::Task&& done) {
     ++stats_.interrupts;
     return run(cfg_.interrupt_instr, std::move(done));
   }
-  sim::SimTime run_context_switch(std::function<void()> done) {
+  sim::SimTime run_context_switch(sim::Task&& done) {
     ++stats_.context_switches;
     return run(cfg_.context_switch_instr, std::move(done));
   }
-  sim::SimTime run_copy(std::size_t bytes, std::function<void()> done) {
+  sim::SimTime run_copy(std::size_t bytes, sim::Task&& done) {
     return run(static_cast<std::uint64_t>(cfg_.copy_instr_per_byte * static_cast<double>(bytes)),
                std::move(done));
   }
@@ -67,6 +72,9 @@ public:
   [[nodiscard]] double utilization_since(sim::SimTime since) const;
 
 private:
+  /// Account `instr` instructions on the serial CPU; returns when they finish.
+  sim::SimTime charge(std::uint64_t instr);
+
   sim::EventScheduler& sched_;
   CpuConfig cfg_;
   CpuStats stats_;

@@ -24,14 +24,25 @@ void Nic::send(net::Packet&& p) {
   }
 }
 
-void Nic::flush_tx() {
-  if (tx_batch_.empty()) return;
-  auto batch = std::make_shared<std::deque<net::Packet>>(std::move(tx_batch_));
-  tx_batch_.clear();
+template <typename Deliver>
+void Nic::flush(Batch& pending, Deliver deliver) {
+  if (pending.empty()) return;
+  Batch batch;
+  if (!spare_.empty()) {
+    batch = std::move(spare_.back());
+    spare_.pop_back();
+  }
+  batch.swap(pending);
   // One interrupt covers the whole batch (descriptor-ring style).
-  cpu_.run_interrupt([this, batch] {
-    for (auto& p : *batch) net_.inject(std::move(p));
+  cpu_.run_interrupt([this, deliver, batch = std::move(batch)]() mutable {
+    for (auto& p : batch) deliver(std::move(p));
+    batch.clear();
+    spare_.push_back(std::move(batch));
   });
+}
+
+void Nic::flush_tx() {
+  flush(tx_batch_, [this](net::Packet&& p) { net_.inject(std::move(p)); });
 }
 
 void Nic::on_wire_rx(net::Packet&& p) {
@@ -53,13 +64,8 @@ void Nic::on_wire_rx(net::Packet&& p) {
 }
 
 void Nic::flush_rx() {
-  if (rx_batch_.empty()) return;
-  auto batch = std::make_shared<std::deque<net::Packet>>(std::move(rx_batch_));
-  rx_batch_.clear();
-  cpu_.run_interrupt([this, batch] {
-    for (auto& p : *batch) {
-      if (rx_) rx_(std::move(p));
-    }
+  flush(rx_batch_, [this](net::Packet&& p) {
+    if (rx_) rx_(std::move(p));
   });
 }
 

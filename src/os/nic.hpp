@@ -8,8 +8,8 @@
 #include "net/network.hpp"
 #include "os/cpu_model.hpp"
 
-#include <deque>
 #include <functional>
+#include <vector>
 
 namespace adaptive::os {
 
@@ -50,9 +50,15 @@ public:
   [[nodiscard]] std::size_t mtu_to(net::NodeId dst) const { return net_.path_mtu(node_, dst); }
 
 private:
+  using Batch = std::vector<net::Packet>;
+
   void on_wire_rx(net::Packet&& p);
   void flush_tx();
   void flush_rx();
+  /// Hand `pending` over as one interrupt's batch, leaving `pending` with
+  /// recycled storage; `deliver` consumes each packet.
+  template <typename Deliver>
+  void flush(Batch& pending, Deliver deliver);
 
   net::Network& net_;
   net::NodeId node_;
@@ -61,8 +67,12 @@ private:
   RxFn rx_;
   std::uint64_t tx_ = 0;
   std::uint64_t rx_count_ = 0;
-  std::deque<net::Packet> tx_batch_;
-  std::deque<net::Packet> rx_batch_;
+  Batch tx_batch_;
+  Batch rx_batch_;
+  /// Emptied batches, capacity kept: a flushed batch's storage returns
+  /// here once its interrupt has run, so coalescing allocates nothing in
+  /// steady state.
+  std::vector<Batch> spare_;
   sim::EventHandle tx_flush_timer_;
   sim::EventHandle rx_flush_timer_;
 };

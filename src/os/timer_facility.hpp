@@ -9,7 +9,6 @@
 #include "sim/time.hpp"
 
 #include <cstdint>
-#include <functional>
 
 namespace adaptive::os {
 
@@ -17,9 +16,9 @@ class TimerFacility {
 public:
   explicit TimerFacility(sim::EventScheduler& sched) : sched_(sched) {}
 
-  using Callback = std::function<void()>;
+  using Callback = sim::Task;
 
-  sim::EventHandle schedule(sim::SimTime delay, Callback cb) {
+  sim::EventHandle schedule(sim::SimTime delay, Callback&& cb) {
     ++scheduled_;
     return sched_.schedule_after(delay, std::move(cb));
   }

@@ -12,6 +12,16 @@
 
 namespace adaptive::tko {
 
+namespace detail {
+/// One's-complement sum of `data` folded to 16 bits, in big-endian word
+/// order, as if the span started on an even byte offset (odd-length spans
+/// pad with a zero low byte, per RFC 1071). The datapath core.
+[[nodiscard]] std::uint16_t ones_sum_be(std::span<const std::uint8_t> data);
+/// The same sum, unfolded, one 16-bit word at a time: the legacy-mode
+/// core and the reference ones_sum_be is tested against.
+[[nodiscard]] std::uint64_t ones_sum_be_bytewise(std::span<const std::uint8_t> data);
+}  // namespace detail
+
 /// RFC 1071 16-bit one's-complement checksum.
 [[nodiscard]] std::uint16_t internet_checksum(std::span<const std::uint8_t> data);
 

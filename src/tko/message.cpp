@@ -15,7 +15,7 @@ void set_legacy_copy_path(bool on) { g_legacy_copy_path = on; }
 
 os::BufferRef Message::alloc(std::size_t n) const {
   if (pool_ != nullptr) return pool_->allocate(n);
-  return std::make_shared<os::Buffer>(n);
+  return os::Buffer::make(n);
 }
 
 Message Message::from_bytes(std::span<const std::uint8_t> bytes, os::BufferPool* pool) {

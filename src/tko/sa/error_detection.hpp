@@ -8,6 +8,8 @@
 
 #include "tko/sa/mechanism.hpp"
 
+#include <memory>
+
 namespace adaptive::tko::sa {
 
 class NoDetection final : public ErrorDetection {

@@ -291,6 +291,69 @@ TEST(ZeroCopy, StreamingInternetChecksumMatchesFlatAtOddBoundaries) {
   EXPECT_EQ(inc.value(), internet_checksum(data));
 }
 
+/// Reference one's-complement sum: the word-at-a-time legacy core, folded.
+std::uint16_t reference_ones_sum(std::span<const std::uint8_t> data) {
+  std::uint64_t sum = detail::ones_sum_be_bytewise(data);
+  while (sum >> 16) sum = (sum & 0xFFFF) + (sum >> 16);
+  return static_cast<std::uint16_t>(sum);
+}
+
+TEST(Checksum, TwoAccumulatorSumMatchesBytewiseReference) {
+  // Every length 0..64 at every start offset 0..7 (odd offsets included),
+  // over random bytes plus the all-0xFF and all-zero extremes where the
+  // one's-complement end-around carries pile up.
+  std::uint64_t state = 0x9E3779B97F4A7C15ull;
+  auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return static_cast<std::uint8_t>(state);
+  };
+  for (int fill = 0; fill < 3; ++fill) {
+    std::vector<std::uint8_t> buf(64 + 8);
+    for (auto& b : buf) b = fill == 0 ? next() : (fill == 1 ? 0xFF : 0x00);
+    for (std::size_t len = 0; len <= 64; ++len) {
+      for (std::size_t off = 0; off < 8; ++off) {
+        const auto span = std::span<const std::uint8_t>(buf).subspan(off, len);
+        ASSERT_EQ(detail::ones_sum_be(span), reference_ones_sum(span))
+            << "fill=" << fill << " len=" << len << " off=" << off;
+      }
+    }
+  }
+  // Long random buffers exercise the 16-byte main loop at length.
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<std::uint8_t> buf(1 + next() * 37u);
+    for (auto& b : buf) b = next();
+    ASSERT_EQ(detail::ones_sum_be(buf), reference_ones_sum(buf)) << "size=" << buf.size();
+  }
+}
+
+TEST(Checksum, StreamingMatchesReferenceOverRandomSegmentation) {
+  // Multi-segment messages cut at random (mostly odd) boundaries: the
+  // streaming checksum must equal the bytewise reference over the whole.
+  std::uint64_t state = 12345;
+  auto next = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<std::uint32_t>(state >> 33);
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::uint8_t> data(next() % 3000);
+    for (auto& b : data) b = static_cast<std::uint8_t>(next());
+    Message m;
+    std::size_t pos = 0;
+    while (pos < data.size()) {
+      const std::size_t len = std::min<std::size_t>(data.size() - pos, 1 + next() % 97);
+      m.append(std::span<const std::uint8_t>(data).subspan(pos, len));
+      pos += len;
+    }
+    InternetChecksum inc;
+    m.for_each_segment([&](std::span<const std::uint8_t> seg) { inc.update(seg); });
+    const std::uint16_t expect = static_cast<std::uint16_t>(~reference_ones_sum(data) & 0xFFFF);
+    ASSERT_EQ(inc.value(), expect) << "trial=" << trial << " segments=" << m.segment_count();
+    ASSERT_EQ(internet_checksum(data), expect);
+  }
+}
+
 TEST(Checksum, Rfc1071KnownVector) {
   // Classic example: bytes 00 01 f2 03 f4 f5 f6 f7 -> checksum 0x220d.
   const auto data = bytes({0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7});

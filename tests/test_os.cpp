@@ -7,6 +7,40 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+// Counting allocator for the allocation regression tests below: every
+// global operator new in this test binary bumps one counter, and a test
+// asserts the delta across its steady-state loop.
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+// The replacements pair malloc with free on purpose; GCC cannot see that
+// every operator new below is malloc-backed.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return ::operator new(n, t);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+
 namespace adaptive::os {
 namespace {
 
@@ -38,6 +72,56 @@ TEST(BufferPool, CopyAccounting) {
   EXPECT_EQ(pool.stats().copied_bytes, 800u);
   pool.reset_stats();
   EXPECT_EQ(pool.stats().copies, 0u);
+}
+
+TEST(BufferPool, CacheHitAllocatesNothing) {
+  BufferPool pool;
+  { const BufferRef warm = pool.allocate(512); }
+  const std::uint64_t before = g_allocs.load();
+  for (int i = 0; i < 1000; ++i) {
+    BufferRef b = pool.allocate(512);
+    b->data()[0] = static_cast<std::uint8_t>(i);
+    BufferRef shared = b;  // a second reference costs no control block
+    EXPECT_EQ(shared.use_count(), 2);
+  }
+  EXPECT_EQ(g_allocs.load() - before, 0u);
+  EXPECT_EQ(pool.stats().allocations, 1001u);
+  EXPECT_EQ(pool.stats().frees, 1001u);
+  EXPECT_EQ(pool.stats().live_bytes, 0u);
+}
+
+TEST(BufferPool, OneBlockBufferLayout) {
+  BufferPool pool;
+  const BufferRef b = pool.allocate(100);
+  EXPECT_EQ(b->size(), 100u);
+  // The bytes follow the header in the same block, 16-byte aligned.
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b->data()) % 16, 0u);
+  EXPECT_EQ(b->data(), reinterpret_cast<const std::uint8_t*>(b.get() + 1));
+  const BufferRef loose = Buffer::make(10);  // pool-less
+  EXPECT_EQ(loose->size(), 10u);
+  EXPECT_EQ(loose.use_count(), 1);
+}
+
+TEST(Network, InjectOnCachedRouteAllocatesNothing) {
+  sim::EventScheduler sched;
+  auto topo = net::make_ethernet_lan(sched, 2);
+  auto& net = *topo.network;
+  BufferPool pool;
+  std::uint64_t got = 0;
+  net.set_host_rx(topo.hosts[1], [&](net::Packet&&) { ++got; });
+  auto round = [&] {
+    net::Packet p;
+    p.src = {topo.hosts[0], 1};
+    p.dst = {topo.hosts[1], 2};
+    p.payload = tko::Message::filled(64, 7, &pool);
+    net.inject(std::move(p));
+    sched.run();
+  };
+  for (int i = 0; i < 4; ++i) round();  // warm-up: routes, queues, nodes, pool
+  const std::uint64_t before = g_allocs.load();
+  for (int i = 0; i < 1000; ++i) round();
+  EXPECT_EQ(g_allocs.load() - before, 0u);
+  EXPECT_EQ(got, 1004u);
 }
 
 TEST(CpuModel, InstrTimeMatchesMips) {

@@ -1,16 +1,54 @@
 // Unit tests for the discrete-event kernel: virtual time, scheduler
 // ordering/cancellation, and the reproducible RNG.
+#include "net/packet.hpp"
+#include "os/timer_facility.hpp"
 #include "sim/event_scheduler.hpp"
 #include "sim/logging.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
+#include "tko/event.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <functional>
+#include <memory>
+#include <new>
+#include <utility>
 #include <vector>
+
+// Counting allocator for the allocation regression tests below: every
+// global operator new in this test binary bumps one counter, and a test
+// asserts the delta across its steady-state loop.
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+// The replacements pair malloc with free on purpose; GCC cannot see that
+// every operator new below is malloc-backed.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return ::operator new(n, t);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace adaptive::sim {
 namespace {
@@ -249,6 +287,200 @@ TEST(EventScheduler, RejectsPastScheduling) {
   sched.schedule_at(SimTime::milliseconds(5), [] {});
   sched.run();
   EXPECT_THROW(sched.schedule_at(SimTime::milliseconds(1), [] {}), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Node store: handles, eager cancellation, recycling, and the steady-state
+// zero-allocation contract of the event core.
+// ---------------------------------------------------------------------------
+
+TEST(EventScheduler, TaskHoldsAPacketInline) {
+  static_assert(sizeof(net::Packet) + sizeof(void*) <= Task::kInlineBytes);
+  int fired = 0;
+  Task t([&fired, p = net::Packet()]() mutable { fired += p.hop_count == 0 ? 1 : 0; });
+  Task moved = std::move(t);
+  EXPECT_FALSE(t);
+  ASSERT_TRUE(moved);
+  moved();
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(Task(nullptr));
+  EXPECT_FALSE(Task(std::function<void()>{}));
+}
+
+TEST(EventScheduler, PostingPacketCallbacksAllocatesNothingInSteadyState) {
+  EventScheduler sched;
+  net::Packet carried;
+  carried.payload = tko::Message::filled(64, 0xAB);
+  std::uint64_t delivered = 0;
+  auto round = [&] {
+    // A datapath-shaped event: an owner pointer plus a whole packet.
+    sched.post_after(SimTime::microseconds(3),
+                     [&carried, &delivered, p = std::move(carried)]() mutable {
+                       ++delivered;
+                       carried = std::move(p);
+                     });
+    sched.run();
+  };
+  round();  // warm-up: carves the node slab
+  const std::uint64_t before = g_allocs.load();
+  for (int i = 0; i < 1000; ++i) round();
+  EXPECT_EQ(g_allocs.load() - before, 0u);
+  EXPECT_EQ(delivered, 1001u);
+  EXPECT_EQ(carried.payload.size(), 64u);
+}
+
+TEST(EventScheduler, RearmingATkoEventAllocatesNothing) {
+  EventScheduler sched;
+  os::TimerFacility timers(sched);
+  int fires = 0;
+  tko::Event ev(timers, [&] { ++fires; });
+  ev.schedule(SimTime::milliseconds(1));
+  sched.run();  // warm-up
+  const std::uint64_t before = g_allocs.load();
+  for (int i = 0; i < 1000; ++i) {
+    ev.schedule(SimTime::milliseconds(2));
+    ev.schedule(SimTime::milliseconds(1));  // re-arm replaces the pending timer
+    sched.run();
+  }
+  EXPECT_EQ(g_allocs.load() - before, 0u);
+  EXPECT_EQ(fires, 1001);
+  EXPECT_EQ(sched.pending_events(), 0u);
+}
+
+TEST(EventScheduler, HandleCancelledAfterFireLeavesRecycledNodeAlone) {
+  EventScheduler sched;
+  int first = 0;
+  int second = 0;
+  auto h = sched.schedule_after(SimTime::microseconds(1), [&] { ++first; });
+  sched.run();
+  EXPECT_FALSE(h.pending());
+  // The fired node is recycled for the next event of its size class; the
+  // stale handle must not reach it.
+  auto h2 = sched.schedule_after(SimTime::microseconds(1), [&] { ++second; });
+  h.cancel();
+  h.cancel();
+  EXPECT_TRUE(h2.pending());
+  EXPECT_EQ(sched.pending_events(), 1u);
+  sched.run();
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1);
+}
+
+TEST(EventScheduler, CancelFromInsideACallback) {
+  EventScheduler sched;
+  std::vector<int> order;
+  EventHandle self;
+  EventHandle later;
+  EventHandle same_tick;
+  self = sched.schedule_at(SimTime::microseconds(5), [&] {
+    order.push_back(1);
+    self.cancel();  // its own, already-firing event: a no-op
+    later.cancel();
+    same_tick.cancel();
+    EXPECT_FALSE(later.pending());
+    EXPECT_EQ(sched.pending_events(), 1u);
+  });
+  same_tick = sched.schedule_at(SimTime::microseconds(5), [&] { order.push_back(2); });
+  later = sched.schedule_at(SimTime::milliseconds(50), [&] { order.push_back(3); });
+  sched.schedule_at(SimTime::milliseconds(60), [&] { order.push_back(4); });
+  sched.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 4}));
+  EXPECT_EQ(sched.executed_events(), 2u);
+  EXPECT_EQ(sched.now(), SimTime::milliseconds(60));
+}
+
+TEST(EventScheduler, PendingEventsExactAfterEagerUnlink) {
+  EventScheduler sched;
+  std::vector<EventHandle> hs;
+  for (int i = 0; i < 10; ++i) {
+    hs.push_back(sched.schedule_at(SimTime::microseconds(100 * (i + 1)), [] {}));
+  }
+  hs.push_back(sched.schedule_at(SimTime::seconds(30.0), [] {}));  // a coarse level
+  EXPECT_EQ(sched.pending_events(), 11u);
+  hs[3].cancel();
+  hs[10].cancel();
+  hs[3].cancel();
+  EXPECT_EQ(sched.pending_events(), 9u);
+  EXPECT_EQ(sched.run_until(SimTime::microseconds(450)), 3u);
+  EXPECT_EQ(sched.pending_events(), 6u);
+  sched.run();
+  EXPECT_EQ(sched.pending_events(), 0u);
+  EXPECT_EQ(sched.executed_events(), 9u);
+  // The cancelled 30 s event is gone: the clock stops at the last live one.
+  EXPECT_EQ(sched.now(), SimTime::microseconds(1000));
+}
+
+TEST(EventScheduler, ReentrantPostWhileNodeIsRecycled) {
+  // The fired callable's captures are destroyed after it runs; a capture
+  // whose destructor posts must get a fresh node, not the one being
+  // recycled, and the posted event must fire in order.
+  EventScheduler sched;
+  std::vector<int> order;
+  struct PostOnDestroy {
+    EventScheduler* sched;
+    std::vector<int>* order;
+    bool armed = true;
+    PostOnDestroy(EventScheduler* s, std::vector<int>* o) : sched(s), order(o) {}
+    PostOnDestroy(PostOnDestroy&& o) noexcept
+        : sched(o.sched), order(o.order), armed(std::exchange(o.armed, false)) {}
+    ~PostOnDestroy() {
+      if (!armed) return;
+      auto* o = order;
+      sched->post_after(SimTime::microseconds(1), [o] { o->push_back(3); });
+    }
+  };
+  sched.post_at(SimTime::microseconds(1), [&, guard = PostOnDestroy(&sched, &order)] {
+    order.push_back(1);
+    // Posted from inside the callback, same size class as the firing node.
+    sched.post_at(sched.now(), [&] { order.push_back(2); });
+  });
+  sched.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sched.executed_events(), 3u);
+}
+
+TEST(EventScheduler, LegacyHeapModeMatchesWheelWithCancellation) {
+  // The legacy heap keeps cancelled nodes until they surface; fire order,
+  // handle state and teardown must still match the wheel exactly.
+  auto run = [](bool heap) {
+    set_legacy_heap_mode(heap);
+    std::vector<int> fired;
+    {
+      EventScheduler sched;
+      Rng rng(7);
+      std::vector<EventHandle> hs;
+      for (int i = 0; i < 300; ++i) {
+        const auto when =
+            SimTime::nanoseconds(static_cast<std::int64_t>(rng.uniform_int(0, 50'000'000)));
+        hs.push_back(sched.schedule_at(when, [&fired, &hs, i] {
+          fired.push_back(i);
+          if (i % 5 == 0) hs[static_cast<std::size_t>((i * 7) % 300)].cancel();
+        }));
+      }
+      for (int i = 0; i < 300; i += 11) hs[static_cast<std::size_t>(i)].cancel();
+      EXPECT_FALSE(hs[0].pending());
+      sched.run_until(SimTime::milliseconds(30));
+      hs.push_back(sched.schedule_at(SimTime::seconds(9.0), [&fired] { fired.push_back(-1); }));
+    }  // destroyed with live and cancelled events still queued
+    set_legacy_heap_mode(false);
+    return fired;
+  };
+  const auto heap = run(true);
+  const auto wheel = run(false);
+  EXPECT_FALSE(wheel.empty());
+  EXPECT_EQ(heap, wheel);
+}
+
+TEST(EventScheduler, DestructionDestroysPendingCallables) {
+  auto token = std::make_shared<int>(7);
+  {
+    EventScheduler sched;
+    sched.post_at(SimTime::seconds(1.0), [token] {});
+    const EventHandle h = sched.schedule_at(SimTime::seconds(40.0), [token] {});
+    EXPECT_TRUE(h.pending());
+    EXPECT_EQ(token.use_count(), 3);
+  }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {

@@ -149,7 +149,8 @@ TEST(Profiler, RepeatedScopesAccumulateCallsIntoOneZone) {
   for (int i = 0; i < 100; ++i) {
     UNITES_PROF("hot.zone");
   }
-  const unites::ProfileNode* zone = t.prof.snapshot().find({"session/0", "hot.zone"});
+  const unites::ProfileTree tree = t.prof.snapshot();
+  const unites::ProfileNode* zone = tree.find({"session/0", "hot.zone"});
   ASSERT_NE(zone, nullptr);
   EXPECT_EQ(zone->calls, 100u);
   EXPECT_EQ(zone->sim_ns, 0);  // handlers run in zero virtual time
